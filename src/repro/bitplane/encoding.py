@@ -394,10 +394,13 @@ class PartialDecodeState:
     ``[0, p)`` is exact: the algebraic fact that makes progressive
     refinement pay only for the increment. Treat instances as
     immutable; :func:`apply_planes` returns a new state, so a failed
-    refinement step can simply keep the old one.
+    refinement step can simply keep the old one. ``words`` is ``None``
+    until the first plane that carries bits into it lands (all-zero
+    bits): the first :func:`apply_planes` then adopts the injected words
+    as they are instead of OR-ing them into a zero-filled buffer.
     """
 
-    words: np.ndarray  # uint64 accumulated magnitudes / negabinary codes
+    words: np.ndarray | None  # uint64 magnitudes / negabinary codes
     signs: np.ndarray | None  # uint8 sign bits (sign_magnitude only)
     planes_applied: int
     num_elements: int
@@ -421,7 +424,7 @@ class PartialDecodeState:
     @property
     def nbytes(self) -> int:
         """Resident bytes of the retained arrays."""
-        total = int(self.words.nbytes)
+        total = 0 if self.words is None else int(self.words.nbytes)
         if self.signs is not None:
             total += int(self.signs.nbytes)
         return total
@@ -445,7 +448,7 @@ def begin_decode_state(
             f"got {signed_encoding!r}"
         )
     return PartialDecodeState(
-        words=np.zeros(int(num_elements), dtype=np.uint64),
+        words=None,
         signs=None,
         planes_applied=0,
         num_elements=int(num_elements),
@@ -484,7 +487,7 @@ def apply_planes(
         )
     if not planes:
         return state
-    words = state.words.copy()
+    words = state.words
     signs = state.signs
     n = state.num_elements
     if state.signed_encoding == "negabinary":
@@ -494,7 +497,9 @@ def apply_planes(
         # at plane p therefore injects exactly like the leading planes
         # of a (width - p)-bit code.
         width = negabinary_width(state.num_bitplanes)
-        words |= inject_code_planes(planes, n, width - start_plane)
+        words = _accumulate(
+            words, inject_code_planes(planes, n, width - start_plane)
+        )
     else:
         mag_planes = planes
         mag_start = start_plane - 1
@@ -508,9 +513,9 @@ def apply_planes(
         if mag_planes:
             # Magnitude plane m targets bit (B - 1 - m): same shifted-
             # width trick as above.
-            words |= inject_code_planes(
+            words = _accumulate(words, inject_code_planes(
                 mag_planes, n, state.num_bitplanes - mag_start
-            )
+            ))
     return PartialDecodeState(
         words=words,
         signs=signs,
@@ -526,6 +531,17 @@ def apply_planes(
     )
 
 
+def _accumulate(words: np.ndarray | None, injected: np.ndarray) -> np.ndarray:
+    """``words | injected`` as a new array; the first planes land as-is.
+
+    ``injected`` is a fresh array from the plane injector, so adopting
+    it leaves no alias to any earlier state.
+    """
+    if words is None:
+        return injected
+    return np.bitwise_or(words, injected)
+
+
 def finalize_decode(state: PartialDecodeState) -> np.ndarray:
     """Float values of a partial state — bit-identical to a full decode.
 
@@ -533,8 +549,11 @@ def finalize_decode(state: PartialDecodeState) -> np.ndarray:
     stream the state was built from (tested property); the state itself
     is left untouched so further planes can still be applied.
     """
+    words = state.words
+    if words is None:
+        words = np.zeros(state.num_elements, dtype=np.uint64)
     if state.signed_encoding == "negabinary":
-        codes = state.words
+        codes = words
         if state.layout == _WARP:
             inv = register_block.inverse_tile_permutation(
                 state.num_elements, state.num_bitplanes, state.warp_size
@@ -553,7 +572,7 @@ def finalize_decode(state: PartialDecodeState) -> np.ndarray:
         signs = np.zeros(state.num_elements, dtype=np.uint8)
     aligned = AlignedFixedPoint(
         signs=signs,
-        magnitudes=state.words,
+        magnitudes=words,
         exponent=state.exponent,
         num_bitplanes=state.num_bitplanes,
         max_abs=state.max_abs,

@@ -808,7 +808,8 @@ class RetrievalService(WorkerPoolMixin):
                 with self._futures_lock:
                     self._prefetch_landed.add(key)
         except Exception:  # reprolint: disable=R2 -- speculative warm: the resolve path retries and surfaces the real error
-            self.prefetch_failures += 1
+            with self._futures_lock:
+                self.prefetch_failures += 1
 
     def cancel_stale_prefetches(self, keys) -> int:
         """Cancel still-queued prefetch warms for *keys*; return count.
@@ -875,6 +876,7 @@ class RetrievalService(WorkerPoolMixin):
             sessions = list(self._sessions)
         with self._futures_lock:
             prefetch_requests = self.prefetch_requests
+            prefetch_failures = self.prefetch_failures
             prefetch_hits = self.prefetch_hits
             prefetch_cancelled = self.prefetch_cancelled
             prefetch_skipped = self.prefetch_skipped
@@ -886,7 +888,7 @@ class RetrievalService(WorkerPoolMixin):
         return {
             "cache": self.cache.stats(),
             "prefetch_requests": prefetch_requests,
-            "prefetch_failures": self.prefetch_failures,
+            "prefetch_failures": prefetch_failures,
             "prefetch_hits": prefetch_hits,
             "prefetch_cancelled": prefetch_cancelled,
             "prefetch_skipped": prefetch_skipped,

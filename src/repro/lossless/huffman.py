@@ -4,14 +4,30 @@ Built from scratch (tree construction, length limiting, canonical code
 assignment) over the byte alphabet. The stream is divided into fixed-size
 *symbol chunks*, each starting at a byte boundary with its offset in the
 header — exactly how GPU Huffman decoders (e.g. Tian et al., IPDPS'21)
-expose block-level parallelism. Decoding walks all chunks in lockstep
-with vectorized gathers, the NumPy analogue of one thread block per
-chunk: each lockstep step performs a *single* unaligned 64-bit window
-gather per chunk (a byte-stride ``as_strided`` view of the zero-padded
-payload, byteswapped to MSB-first) instead of eight byte gathers, and
-every per-step temporary is allocated once outside the loop and reused
-via ``out=`` kernels. The original eight-gather formulation is retained
-as :meth:`HuffmanCodec.decode_reference` for equivalence tests and the
+expose block-level parallelism. The ``HUF1`` stream format is fixed;
+:meth:`HuffmanCodec.decode` picks one of two kernels per stream, and
+both return byte-identical output:
+
+* **Lockstep** (:func:`_decode_lockstep`) walks all chunks at once,
+  the NumPy analogue of one thread block per chunk: each round performs
+  a *single* unaligned 64-bit window gather per chunk (a byte-stride
+  ``as_strided`` view of the zero-padded payload, byteswapped to
+  MSB-first) and peels several symbols from it. It runs ``min(chunk,
+  n)`` Python rounds, which is cheap per symbol only when many chunks
+  share each round.
+* **Jump** (:func:`_decode_jump`) is the self-synchronizing,
+  parallel-prefix style decode GPU decoders use when lanes are few: it
+  decodes a tentative symbol at *every* payload bit position in one
+  vectorized pass, then follows the ``next = pos + len`` chain from each
+  chunk start by pointer doubling — ``O(log chunk)`` vectorized rounds
+  over one entry per payload bit.
+
+The dispatch (:func:`_prefers_jump`) compares the jump kernel's per-bit
+work with the lockstep round count using header quantities only, and
+caps the jump kernel's memory at about 8 MiB: small per-tile streams
+take the jump kernel, large multi-chunk streams stay on lockstep. The
+original eight-gather lockstep formulation is retained as
+:meth:`HuffmanCodec.decode_reference` for equivalence tests and the
 ``bench_hotpaths`` baseline.
 
 Code lengths are limited to :data:`MAX_CODE_LENGTH` so the decoder can
@@ -22,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,23 +150,32 @@ def _limit_lengths(
     return depths
 
 
-def canonical_codes(lengths: np.ndarray) -> np.ndarray:
-    """Canonical code values per symbol from code lengths."""
+def _canonical_order(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Present symbols in canonical order (length, then symbol) + lengths."""
     lengths = np.asarray(lengths, dtype=np.int64)
-    max_len = int(lengths.max()) if lengths.size else 0
+    present = np.flatnonzero(lengths)
+    order = present[np.argsort(lengths[present], kind="stable")]
+    return order, lengths[order]
+
+
+def canonical_codes(lengths: np.ndarray) -> np.ndarray:
+    """Canonical code values per symbol from code lengths.
+
+    In canonical order (length, then symbol) each code, left-justified
+    to ``max_len`` bits, starts where the previous one's
+    ``2^(max_len - l)`` span ends: an exclusive cumsum of the spans,
+    shifted back down by ``max_len - l``. Equal to the classic
+    ``next_code[l]`` loop for every table, valid or not.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
     codes = np.zeros(lengths.size, dtype=np.uint64)
-    if max_len == 0:
+    order, sorted_lengths = _canonical_order(lengths)
+    if order.size == 0:
         return codes
-    bl_count = np.bincount(lengths, minlength=max_len + 1)
-    bl_count[0] = 0
-    next_code = np.zeros(max_len + 1, dtype=np.int64)
-    for l in range(1, max_len + 1):
-        next_code[l] = (next_code[l - 1] + bl_count[l - 1]) << 1
-    for sym in range(lengths.size):  # symbol order = canonical tiebreak
-        l = int(lengths[sym])
-        if l:
-            codes[sym] = next_code[l]
-            next_code[l] += 1
+    shift = int(sorted_lengths[-1]) - sorted_lengths
+    spans = np.left_shift(1, shift)
+    starts = np.cumsum(spans) - spans
+    codes[order] = np.right_shift(starts, shift).astype(np.uint64)
     return codes
 
 
@@ -285,8 +311,9 @@ class HuffmanCodec:
         )
 
     # -- decode ---------------------------------------------------------
-    def _parse_stream(self, blob: bytes):
-        """Header + tables + payload view shared by both decode paths."""
+    @staticmethod
+    def _parse_stream(blob: bytes) -> _Stream:
+        """Header + tables + payload view shared by every decode path."""
         head_size = struct.calcsize(_HEADER_FMT)
         if len(blob) < head_size + 256 + 4:
             raise ValueError("truncated Huffman stream")
@@ -300,102 +327,55 @@ class HuffmanCodec:
         (n_chunks,) = struct.unpack_from("<I", blob, off)
         off += 4
         if n == 0:
-            return n, chunk, max_len, lengths_table, 0, None, None
+            return _Stream(n, chunk, max_len, lengths_table, 0, None, None)
+        if chunk < 1 or n_chunks != -(-n // chunk):
+            raise ValueError("corrupt stream: chunk table disagrees with "
+                             "the symbol count")
         offsets = np.frombuffer(blob, dtype=np.uint32,
                                 count=n_chunks + 1, offset=off).astype(np.int64)
         off += 4 * (n_chunks + 1)
         payload = np.frombuffer(blob, dtype=np.uint8, offset=off)
-        if n_chunks and int(offsets.max()) > payload.size:
+        if int(offsets.max()) > payload.size:
             # A consistent header's chunk offsets all land inside the
             # payload; catching truncation here keeps the decode loops
             # free of per-step bounds clamping.
             raise ValueError("truncated Huffman stream")
-        return n, chunk, max_len, lengths_table, n_chunks, offsets, payload
+        if n > 8 * payload.size:
+            # Every code is at least one bit long.
+            raise ValueError("truncated Huffman stream")
+        return _Stream(n, chunk, max_len, lengths_table, n_chunks, offsets,
+                       payload)
 
     def decode(self, blob: bytes) -> np.ndarray:
-        """Lockstep chunked decode, one 64-bit window gather per round.
+        """Decode a ``HUF1`` stream with the cheaper of two kernels.
 
-        Each round decodes several symbols in every chunk (the
-        per-thread-block loop of a GPU decoder): a single fancy-index
-        gather materializes one unaligned 64-bit window per chunk from a
-        byte-stride view of the zero-padded payload (byteswapped once,
-        up front, to MSB-first), and since a 64-bit window starting at
-        the cursor's byte always covers ``1 + (57 - max_len)//max_len``
-        worst-case codes, each gathered window is re-shifted in place to
-        peel that many symbols before the next gather. All per-round
-        temporaries are allocated once and reused through ``out=``
-        kernels, and the symbol/length LUTs are fused into one uint16
-        table so each symbol costs a single gather. Steps past a short
-        final chunk read zero padding and are discarded. Byte-identical
-        to :meth:`decode_reference`.
+        Both kernels read the same stream and return byte-identical
+        output (and match :meth:`decode_reference`):
+
+        * :func:`_decode_lockstep` walks every chunk in lockstep, one
+          Python round per symbol position — ``min(chunk, n)`` rounds
+          whatever the lane count, so its cost is rounds, not bits;
+        * :func:`_decode_jump` decodes a symbol at *every* bit position
+          of the payload in one vectorized pass and then follows the
+          ``pos -> pos + len`` chain by pointer doubling — about
+          ``2·ceil(log2(min(chunk, n)))`` NumPy calls over arrays of
+          one entry per payload bit.
+
+        :func:`_prefers_jump` picks per stream from header quantities
+        alone (payload bits, chunk, ``n``): jump when its per-bit work
+        ``bits × (K + 1)`` costs less than the lockstep rounds it saves
+        and stays under :data:`_JUMP_MAX_WORK`, which bounds the jump
+        kernel's peak memory to about 8 MiB (≈8 bytes per unit).
+        In practice the small per-tile streams of ROI reads (a few
+        thousand symbols, one or two chunks) take the jump kernel and
+        large multi-chunk streams keep lockstep.
         """
-        parsed = self._parse_stream(blob)
-        n, chunk, max_len, lengths_table, n_chunks, offsets, payload = parsed
-        if n == 0:
+        stream = self._parse_stream(blob)
+        if stream.n == 0:
             return np.empty(0, dtype=np.uint8)
-
-        codes_table = canonical_codes(lengths_table)
-        lut_sym, lut_len = self._build_lut(lengths_table, codes_table, max_len)
-        # Fused LUT: high byte = code length, low byte = symbol.
-        lut16 = (lut_len.astype(np.uint16) << 8) | lut_sym.astype(np.uint16)
-
-        steps = min(chunk, n)
-        # Symbols safely decodable from one 64-bit window: symbol s needs
-        # bits [r + sum(l_1..l_s), +max_len) with r <= 7, l_i <= max_len.
-        per_gather = 1 + (64 - 7 - max_len) // max_len
-        # Pad so unclamped cursors (which advance past ragged chunk tails
-        # by <= max_len bits/step) always have a full window to read.
-        # The windows stay a zero-copy byte-strided view (materializing
-        # them would transiently cost ~8 bytes per payload byte); each
-        # round byteswaps only its small gathered slice.
-        extra = ((steps * max_len + 7) >> 3) + 8
-        windows = sliding_windows_u64(payload, extra=extra)
-
-        # Signed lane state: a lane's shift may legitimately go negative
-        # after its final symbol of a round (int64 makes that harmless);
-        # a symbol is extracted only while every lane's shift is still
-        # provably >= 0 at use time.
-        shift_base = np.int64(64 - max_len)
-        mask = np.int64((1 << max_len) - 1)
-        cursors = (offsets[:-1] * 8).astype(np.int64)
-        out16 = np.empty((n_chunks, chunk), dtype=np.uint16)
-        byte_idx = np.empty(n_chunks, dtype=np.int64)
-        shift = np.empty(n_chunks, dtype=np.int64)
-        val = np.empty(n_chunks, dtype=np.int64)
-        comb = np.empty(n_chunks, dtype=np.uint16)
-        lens = np.empty(n_chunks, dtype=np.uint16)
-        step = 0
-        while step < steps:
-            np.right_shift(cursors, 3, out=byte_idx)
-            # Fancy indexing, not take(out=): np.take's buffered path on
-            # the byte-strided source is ~60x slower than this gather.
-            # The int64 view makes the arithmetic shift below type-clean;
-            # sign-extension only pollutes bits the mask discards.
-            win = windows[byte_idx]
-            if NEEDS_BYTESWAP:
-                win.byteswap(inplace=True)  # MSB-first window values
-            win = win.view(np.int64)
-            np.bitwise_and(cursors, 7, out=shift)
-            np.subtract(shift_base, shift, out=shift)
-            peel = min(per_gather, steps - step)
-            while peel > 0:
-                for _ in range(peel):
-                    np.right_shift(win, shift, out=val)
-                    np.bitwise_and(val, mask, out=val)
-                    np.take(lut16, val, out=comb)
-                    out16[:, step] = comb
-                    np.right_shift(comb, 8, out=lens)
-                    np.subtract(shift, lens, out=shift, casting="unsafe")
-                    np.add(cursors, lens, out=cursors, casting="unsafe")
-                    step += 1
-                if step >= steps:
-                    break
-                # Short codes rarely exhaust the window in `per_gather`
-                # worst-case peels: keep peeling from the same gather
-                # while the tightest lane still has a full-length code
-                # (min//max_len more subtractions provably stay valid).
-                peel = min(int(shift.min()) // max_len + 1, steps - step)
-        return (out16 & np.uint16(0xFF)).astype(np.uint8).reshape(-1)[:n]
+        if _prefers_jump(stream):
+            return _decode_jump(stream)
+        return _decode_lockstep(stream)
 
     def decode_reference(self, blob: bytes) -> np.ndarray:
         """Seed lockstep decoder: eight byte gathers per step.
@@ -403,13 +383,13 @@ class HuffmanCodec:
         Retained for equivalence tests and the ``bench_hotpaths``
         baseline; production callers use :meth:`decode`.
         """
-        parsed = self._parse_stream(blob)
-        n, chunk, max_len, lengths_table, n_chunks, offsets, payload = parsed
+        n, chunk, max_len, lengths_table, n_chunks, offsets, payload = (
+            self._parse_stream(blob)
+        )
         if n == 0:
             return np.empty(0, dtype=np.uint8)
 
-        codes_table = canonical_codes(lengths_table)
-        lut_sym, lut_len = self._build_lut(lengths_table, codes_table, max_len)
+        lut_sym, lut_len = _build_lut(lengths_table, max_len)
 
         cursors = offsets[:-1] * 8
         out = np.empty((n_chunks, chunk), dtype=np.uint8)
@@ -431,22 +411,220 @@ class HuffmanCodec:
             cursors = cursors + lut_len[vals]
         return out.reshape(-1)[:n]
 
-    @staticmethod
-    def _build_lut(
-        lengths_table: np.ndarray, codes_table: np.ndarray, max_len: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Flat prefix LUT: any max_len-bit window -> (symbol, length)."""
-        if max_len < 1 or max_len > MAX_CODE_LENGTH:
-            raise ValueError(f"corrupt stream: max_len={max_len}")
-        size = 1 << max_len
-        lut_sym = np.zeros(size, dtype=np.uint8)
-        lut_len = np.ones(size, dtype=np.int64)
-        for sym in np.flatnonzero(lengths_table):
-            l = int(lengths_table[sym])
-            base = int(codes_table[sym]) << (max_len - l)
-            lut_sym[base : base + (1 << (max_len - l))] = sym
-            lut_len[base : base + (1 << (max_len - l))] = l
-        return lut_sym, lut_len
+
+class _Stream(NamedTuple):
+    """A parsed ``HUF1`` stream (``offsets``/``payload`` None when n=0)."""
+
+    n: int
+    chunk: int
+    max_len: int
+    lengths: np.ndarray
+    n_chunks: int
+    offsets: np.ndarray | None
+    payload: np.ndarray | None
+
+
+def _build_lut(
+    lengths_table: np.ndarray, max_len: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat prefix LUT: any max_len-bit window -> (symbol, length).
+
+    In canonical order each symbol owns the next ``2^(max_len - l)``
+    entries, so the table is one ``np.repeat`` of symbols (and of
+    lengths) over their spans. Windows no code covers (incomplete
+    codes, e.g. a one-symbol alphabet) map to symbol 0, length 1.
+    Rejects tables no encoder writes: an empty code, a length above
+    ``max_len``, or lengths that over-subscribe the Kraft sum —
+    those would otherwise decode to wrong bytes of the right size.
+    """
+    if max_len < 1 or max_len > MAX_CODE_LENGTH:
+        raise ValueError(f"corrupt stream: max_len={max_len}")
+    order, lengths = _canonical_order(lengths_table)
+    if order.size == 0:
+        raise ValueError("corrupt stream: empty code-length table")
+    if int(lengths[-1]) > max_len:
+        raise ValueError(
+            f"corrupt stream: code length {int(lengths[-1])} exceeds "
+            f"max_len={max_len}"
+        )
+    spans = np.left_shift(1, max_len - lengths)
+    used = int(spans.sum())
+    size = 1 << max_len
+    if used > size:
+        raise ValueError(
+            "corrupt stream: code lengths over-subscribe the Kraft sum"
+        )
+    lut_sym = np.zeros(size, dtype=np.uint8)
+    lut_len = np.ones(size, dtype=np.int64)
+    lut_sym[:used] = np.repeat(order.astype(np.uint8), spans)
+    lut_len[:used] = np.repeat(lengths, spans)
+    return lut_sym, lut_len
+
+
+def _fused_lut(stream: _Stream) -> np.ndarray:
+    """uint16 LUT: high byte = code length, low byte = symbol."""
+    lut_sym, lut_len = _build_lut(stream.lengths, stream.max_len)
+    return (lut_len.astype(np.uint16) << 8) | lut_sym.astype(np.uint16)
+
+
+def _jump_rounds(steps: int) -> int:
+    """Doubling rounds K = ceil(log2(steps)) that reach symbol ``steps-1``."""
+    return (steps - 1).bit_length()
+
+
+#: Jump-kernel work (payload bits × (K + 1) table entries) that costs
+#: about as much as one lockstep round: on a 2-CPU x86-64 box a
+#: lockstep round takes ~10 µs and a jump-table entry ~4 ns.
+_JUMP_BITS_PER_ROUND = 2048
+#: Cap on jump-kernel work. The K intp jump tables plus the per-bit
+#: temporaries peak at about 8 bytes per unit, so about 8 MiB.
+_JUMP_MAX_WORK = 1 << 20
+
+
+def _prefers_jump(stream: _Stream) -> bool:
+    """Dispatch rule of :meth:`HuffmanCodec.decode` (header quantities only).
+
+    Jump work grows with payload bits × (K + 1); lockstep cost with its
+    ``min(chunk, n)`` rounds. Jump wins while the first is the smaller,
+    up to the :data:`_JUMP_MAX_WORK` memory cap.
+    """
+    steps = min(stream.chunk, stream.n)
+    work = int(stream.offsets.max()) * 8 * (_jump_rounds(steps) + 1)
+    return work <= min(_JUMP_BITS_PER_ROUND * steps, _JUMP_MAX_WORK)
+
+
+def _decode_lockstep(stream: _Stream) -> np.ndarray:
+    """Lockstep chunked decode, one 64-bit window gather per round.
+
+    Each round decodes several symbols in every chunk (the
+    per-thread-block loop of a GPU decoder): a single fancy-index
+    gather materializes one unaligned 64-bit window per chunk from a
+    byte-stride view of the zero-padded payload (byteswapped once per
+    round, to MSB-first), and since a 64-bit window starting at the
+    cursor's byte always covers ``1 + (57 - max_len)//max_len``
+    worst-case codes, each gathered window is re-shifted in place to
+    peel that many symbols before the next gather. All per-round
+    temporaries are allocated once and reused through ``out=`` kernels,
+    and the symbol/length LUTs are fused into one uint16 table so each
+    symbol costs a single gather. Steps past a short final chunk read
+    zero padding and are discarded. Costs ``min(chunk, n)`` Python
+    rounds regardless of the lane count.
+    """
+    n, chunk, max_len, _, n_chunks, offsets, payload = stream
+    lut16 = _fused_lut(stream)
+
+    steps = min(chunk, n)
+    # Symbols safely decodable from one 64-bit window: symbol s needs
+    # bits [r + sum(l_1..l_s), +max_len) with r <= 7, l_i <= max_len.
+    per_gather = 1 + (64 - 7 - max_len) // max_len
+    # Pad so unclamped cursors (which advance past ragged chunk tails
+    # by <= max_len bits/step) always have a full window to read.
+    # The windows stay a zero-copy byte-strided view (materializing
+    # them would transiently cost ~8 bytes per payload byte); each
+    # round byteswaps only its small gathered slice.
+    extra = ((steps * max_len + 7) >> 3) + 8
+    windows = sliding_windows_u64(payload, extra=extra)
+
+    # Signed lane state: a lane's shift may legitimately go negative
+    # after its final symbol of a round (int64 makes that harmless);
+    # a symbol is extracted only while every lane's shift is still
+    # provably >= 0 at use time.
+    shift_base = np.int64(64 - max_len)
+    mask = np.int64((1 << max_len) - 1)
+    cursors = (offsets[:-1] * 8).astype(np.int64)
+    out16 = np.empty((n_chunks, chunk), dtype=np.uint16)
+    byte_idx = np.empty(n_chunks, dtype=np.int64)
+    shift = np.empty(n_chunks, dtype=np.int64)
+    val = np.empty(n_chunks, dtype=np.int64)
+    comb = np.empty(n_chunks, dtype=np.uint16)
+    lens = np.empty(n_chunks, dtype=np.uint16)
+    step = 0
+    while step < steps:
+        np.right_shift(cursors, 3, out=byte_idx)
+        # Fancy indexing, not take(out=): np.take's buffered path on
+        # the byte-strided source is ~60x slower than this gather.
+        # The int64 view makes the arithmetic shift below type-clean;
+        # sign-extension only pollutes bits the mask discards.
+        win = windows[byte_idx]
+        if NEEDS_BYTESWAP:
+            win.byteswap(inplace=True)  # MSB-first window values
+        win = win.view(np.int64)
+        np.bitwise_and(cursors, 7, out=shift)
+        np.subtract(shift_base, shift, out=shift)
+        peel = min(per_gather, steps - step)
+        while peel > 0:
+            for _ in range(peel):
+                np.right_shift(win, shift, out=val)
+                np.bitwise_and(val, mask, out=val)
+                np.take(lut16, val, out=comb)
+                out16[:, step] = comb
+                np.right_shift(comb, 8, out=lens)
+                np.subtract(shift, lens, out=shift, casting="unsafe")
+                np.add(cursors, lens, out=cursors, casting="unsafe")
+                step += 1
+            if step >= steps:
+                break
+            # Short codes rarely exhaust the window in `per_gather`
+            # worst-case peels: keep peeling from the same gather
+            # while the tightest lane still has a full-length code
+            # (min//max_len more subtractions provably stay valid).
+            peel = min(int(shift.min()) // max_len + 1, steps - step)
+    return (out16 & np.uint16(0xFF)).astype(np.uint8).reshape(-1)[:n]
+
+
+def _decode_jump(stream: _Stream) -> np.ndarray:
+    """Pointer-doubling decode: O(log chunk) vectorized rounds.
+
+    1. For every payload bit position ``p`` one pass reads the
+       ``max_len``-bit window at ``p`` (a 24-bit big-endian gather per
+       byte, shifted per ``p & 7``) and looks it up in the fused LUT,
+       giving ``sym[p]`` and ``nxt[p] = p + len[p]`` — the position of
+       the next symbol *if* a symbol starts at ``p``. Positions past the
+       payload clamp to a sentinel that jumps to itself.
+    2. With ``K = ceil(log2(min(chunk, n)))``, ``K - 1`` doubling
+       rounds compose ``jump_k = nxt^(2^k)`` for ``k < K``.
+    3. Starting from every chunk's byte-aligned start, K expansion
+       rounds interleave ``(pos, jump_k[pos])`` (k = K-1 … 0), so row c
+       lists the bit positions of chunk c's symbols in order.
+
+    Every chunk starts at a true code boundary, so each listed position
+    is one, and ``sym`` at those positions is exactly what the lockstep
+    walk decodes. Slots past a short final chunk are discarded.
+    """
+    n, chunk, max_len, _, n_chunks, offsets, payload = stream
+    lut16 = _fused_lut(stream)
+    steps = min(chunk, n)
+    nbytes = int(offsets.max())
+    nbits = nbytes * 8
+
+    # 24-bit big-endian window per byte covers max_len (<= 16) bits at
+    # any of the byte's 8 bit offsets.
+    padded = np.zeros(nbytes + 2, dtype=np.int32)
+    padded[:nbytes] = payload[:nbytes]
+    w24 = padded[:-2] << 16
+    w24 |= padded[1:-1] << 8
+    w24 |= padded[2:]
+    shifts = (24 - max_len) - np.arange(8, dtype=np.int32)
+    vals = (w24[:, None] >> shifts) & np.int32((1 << max_len) - 1)
+    comb = lut16[vals.reshape(-1)]
+
+    sym = np.zeros(nbits + 1, dtype=np.uint8)
+    np.copyto(sym[:nbits], comb, casting="unsafe")  # low byte = symbol
+    # intp tables: NumPy converts any other index dtype before a gather,
+    # which costs as much as the gather itself.
+    nxt = np.empty(nbits + 1, dtype=np.intp)
+    np.add(np.arange(nbits), comb >> 8, out=nxt[:nbits])
+    np.minimum(nxt, nbits, out=nxt)
+    nxt[nbits] = nbits
+
+    jumps = [nxt]
+    for _ in range(1, _jump_rounds(steps)):
+        jumps.append(jumps[-1][jumps[-1]])
+
+    pos = (offsets[:-1] * 8).astype(np.intp).reshape(n_chunks, 1)
+    for jump in reversed(jumps):
+        pos = np.stack((pos, jump[pos]), axis=2).reshape(n_chunks, -1)
+    return sym[pos[:, :steps]].reshape(-1)[:n]
 
 
 _DEFAULT_CODEC = HuffmanCodec()

@@ -145,6 +145,9 @@ class TestResumableCodec:
         stream = encode_bitplanes(np.arange(100.0), num_bitplanes=8)
         _, state = decode_bitplanes_incremental(stream, 2)
         assert state.nbytes == state.words.nbytes + state.signs.nbytes
+        # No plane applied yet: nothing is resident.
+        _, empty = decode_bitplanes_incremental(stream, 0)
+        assert empty.words is None and empty.nbytes == 0
 
 
 # ---------------------------------------------------------------------
