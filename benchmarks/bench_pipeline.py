@@ -126,8 +126,8 @@ def _best_walls(fns, repeats: int) -> list[float]:
 def _instrument(recon: TiledReconstructor, stage_seconds: dict) -> None:
     """Wrap the per-tile pipeline stages with wall-clock probes.
 
-    ``_decode_tiles_pipelined`` binds the stage callables off the
-    instance, so instance-attribute wrappers installed before
+    ``TiledReconstructor.reconstruct`` binds the stage callables off
+    the instance, so instance-attribute wrappers installed before
     ``reconstruct`` see every call. The fetch probe fires on the fetch
     pool's threads — ``list.append`` is atomic, and the per-stage lists
     are only read after the run completes.

@@ -106,20 +106,22 @@ class WorkerPoolMixin:
         """The shared process pool sized for this host's spec."""
         return shared_process_backend(self._backend_spec().workers)
 
+    def _thread_pool_size(self) -> int:
+        """Threads in :meth:`_worker_pool`: the threads backend's width
+        when the host resolves to it, else ``num_workers`` (>= 1)."""
+        spec = self._backend_spec()
+        if spec.kind == "threads" and spec.workers > 1:
+            return spec.workers
+        return max(1, self._pool_size())
+
     def _worker_pool(self) -> ThreadPoolExecutor:
         """The host's thread pool (prefetch, thread-backend fan-out)."""
         if self._pool is None:
             with _POOL_CREATE_LOCK:
                 if self._pool is None:
-                    spec = self._backend_spec()
-                    size = (
-                        spec.workers
-                        if spec.kind == "threads" and spec.workers > 1
-                        else max(1, self._pool_size())
-                    )
                     idents: set[int] = set()
                     pool = ThreadPoolExecutor(
-                        max_workers=size,
+                        max_workers=self._thread_pool_size(),
                         initializer=lambda: idents.add(
                             threading.get_ident()
                         ),

@@ -33,7 +33,7 @@ from repro.core.errors import ComputeError, StoreError
 from repro.core.planner import RetrievalPlan, plan_full, plan_greedy
 from repro.core.stream import RefactoredField
 from repro.decompose import MultilevelTransform
-from repro.util.validation import check_tolerance
+from repro.util.validation import check_on_fault, check_tolerance
 from repro.lossless.hybrid import CompressedGroup, decompress_groups
 
 
@@ -96,11 +96,10 @@ class StepPlan:
     :meth:`Reconstructor.fetch_step` (which resolves exactly the
     segments the step needs, in the sequential path's access order) and
     :meth:`Reconstructor.decode_step` (which runs the decode pass and
-    commits). Splitting the phases is what lets the pipelined runtime
-    (:mod:`repro.pipeline.retrieval`) overlap one tile's fetch with
-    another's decode while staying bit-identical to
-    :meth:`Reconstructor.reconstruct`, which is now literally
-    ``plan_step`` + ``decode_step``.
+    commits). :meth:`Reconstructor.reconstruct` is literally
+    ``plan_step`` + ``fetch_step`` + ``decode_step``; the pipelined
+    runtime (:mod:`repro.pipeline.retrieval`) runs the same three
+    phases, only letting one item's fetch run ahead of another's decode.
 
     ``io_before`` snapshots the field's I/O counters at plan time, so a
     step whose fetch stage ran ahead on another thread still reports
@@ -349,13 +348,21 @@ class Reconstructor(WorkerPoolMixin):
         the honest (looser) ``error_bound`` of what was returned.
         Because the failed step never committed, simply calling again
         resumes exactly where the fault hit.
+
+        The step runs as ``plan_step`` → ``fetch_step`` → ``decode_step``:
+        the store is read only by the sequential fetch chain, never by
+        the (possibly parallel) level decodes.
         """
-        if on_fault not in ("raise", "degrade"):
-            raise ValueError(
-                f"on_fault must be 'raise' or 'degrade', got {on_fault!r}"
-            )
+        check_on_fault(on_fault)
         step = self.plan_step(tolerance, relative=relative, plan=plan)
-        return self.decode_step(step, on_fault=on_fault)
+        fetch_error = None
+        try:
+            self.fetch_step(step)
+        except StoreError as exc:
+            fetch_error = exc
+        return self.decode_step(
+            step, on_fault=on_fault, fetch_error=fetch_error
+        )
 
     def plan_step(
         self,
@@ -369,8 +376,8 @@ class Reconstructor(WorkerPoolMixin):
         with the session's committed fetch progress touch no segment
         payloads (lazy fields plan from :class:`~repro.core.stream.
         SegmentRef` sizes alone). The returned :class:`StepPlan` feeds
-        :meth:`fetch_step`/:meth:`decode_step`; calling
-        :meth:`decode_step` directly is exactly :meth:`reconstruct`.
+        :meth:`fetch_step` and then :meth:`decode_step`, exactly as
+        :meth:`reconstruct` does.
         """
         # Store-backed lazy fields track actual segment traffic; snapshot
         # before planning (a pre-metadata index can force fetches there)
@@ -415,14 +422,12 @@ class Reconstructor(WorkerPoolMixin):
         """Resolve level *idx*'s segments up to *want* groups.
 
         Touches the (possibly lazy) group sequence in ascending group
-        order over ``[committed, want)`` — exactly the order and key
-        set the sequential decode pass resolves, and stopping at the
-        first :class:`~repro.core.errors.StoreError` exactly where it
-        would. Successful fetches memoize on the field, so the decode
-        stage later finds them resident without touching the store;
-        a partial fetch before a fault stays memoized, matching the
-        sequential path's partial progress. Eager in-memory fields
-        no-op (plain list indexing).
+        order over ``[committed, want)``, stopping at the first
+        :class:`~repro.core.errors.StoreError`. Successful fetches
+        memoize on the field, so the decode stage later finds them
+        resident without touching the store; a partial fetch before a
+        fault stays memoized. Eager in-memory fields no-op (plain list
+        indexing).
         """
         groups = self.field.levels[idx].groups
         for g in range(self._fetched[idx], want):
@@ -431,34 +436,19 @@ class Reconstructor(WorkerPoolMixin):
     def fetch_step(self, step: StepPlan) -> None:
         """Fetch stage of one step: resolve every segment it needs.
 
-        Walks levels ascending, groups ascending within each — the
-        sequential decode order — so a seeded fault schedule
+        Walks levels ascending, groups ascending within each, as one
+        sequential chain, so a seeded fault schedule
         (:class:`~repro.core.faults.FaultInjectingStore` keys its
         deterministic draws on per-key access counts) replays
         identically whether fetch runs inline or on a pipeline's fetch
-        stage. Raises :class:`~repro.core.errors.StoreError` at the
-        first failing segment; the caller hands that error to
-        :meth:`decode_step` (as ``fetch_error``) rather than retrying,
-        which would shift access counts.
+        stage, and whichever backend decodes. Raises
+        :class:`~repro.core.errors.StoreError` at the first failing
+        segment; the caller hands that error to :meth:`decode_step` (as
+        ``fetch_error``) rather than retrying, which would shift access
+        counts.
         """
         for idx, want in enumerate(step.groups):
             self.fetch_level_groups(idx, want)
-
-    def step_segment_keys(self, step: StepPlan) -> list[str]:
-        """Store keys :meth:`fetch_step` would resolve, in fetch order.
-
-        Empty for eager fields (no store behind them). The service
-        layer uses this to cancel queued speculative prefetches the
-        pipeline window is about to fetch inline anyway.
-        """
-        keys: list[str] = []
-        for idx, want in enumerate(step.groups):
-            refs = getattr(self.field.levels[idx], "refs", None)
-            if refs is None:
-                continue
-            for g in range(self._fetched[idx], want):
-                keys.append(refs[g].key)
-        return keys
 
     def decode_step(
         self,
@@ -467,26 +457,25 @@ class Reconstructor(WorkerPoolMixin):
         fetch_error: BaseException | None = None,
         level_runner=None,
     ) -> ReconstructionResult:
-        """Decode/recompose/commit one planned step.
+        """Decode/recompose/commit one planned, fetched step.
 
         The decode phase of :meth:`reconstruct`: runs the per-level
-        decode pass over ``step.groups`` (any segment not already
-        memoized by :meth:`fetch_step` is fetched here, exactly as the
-        sequential path does), assembles and recomposes, and commits
-        session state. ``fetch_error`` is a
-        :class:`~repro.core.errors.StoreError` captured by a separated
-        fetch stage: it is re-raised at decode time so ``on_fault``
-        handles it exactly like an inline fetch fault — ``"degrade"``
-        falls back to the committed refinement without touching the
-        store. ``level_runner(jobs, decode_level)``, when given,
-        replaces the backend fan-out for the first decode attempt (the
-        pipelined level window); the degrade fallback always runs the
-        plain local pass, which is store-free by construction.
+        decode pass over ``step.groups``, assembles and recomposes, and
+        commits session state. Its level decodes use only segments
+        that the step's fetch chain already memoized and never read the
+        store, so they may run in parallel without changing which keys
+        the step reads. ``fetch_error`` is the
+        :class:`~repro.core.errors.StoreError` that fetch chain stopped
+        at: it is raised here so ``on_fault`` handles it — ``"degrade"``
+        falls back to the committed refinement, which is memoized too.
+        ``level_runner(jobs, decode_level)``, when given, replaces the
+        backend fan-out for the first decode attempt: the pipelined
+        level window, whose fetch stage runs the same ordered chain as
+        :meth:`fetch_step` ahead of the decodes. Then the step's store
+        reads happen only in that fetch stage, on the window's fetch
+        threads. The degrade fallback always runs the backend fan-out.
         """
-        if on_fault not in ("raise", "degrade"):
-            raise ValueError(
-                f"on_fault must be 'raise' or 'degrade', got {on_fault!r}"
-            )
+        check_on_fault(on_fault)
         resolved = step.tolerance
         relative_requested = step.relative_tolerance
         io_before = step.io_before
@@ -500,23 +489,25 @@ class Reconstructor(WorkerPoolMixin):
         spec = self._backend_spec()
         use_processes = spec.kind == "processes" and spec.workers > 1
 
-        def run_step(jobs: list[tuple], runner=None) -> list[tuple]:
+        def run_step(groups: list[int], runner=None) -> list[tuple]:
+            jobs = [
+                (idx, lv, want)
+                for idx, (lv, want) in enumerate(
+                    zip(self.field.levels, groups)
+                )
+            ]
             if runner is not None:
                 return runner(jobs, decode_level)
             if use_processes and len(jobs) > 1:
                 return self._decode_levels_processes(jobs)
             return self.map_jobs(decode_level, jobs)
 
-        jobs = [
-            (idx, lv, want)
-            for idx, (lv, want) in enumerate(zip(self.field.levels, groups))
-        ]
         degraded = False
         failed_groups: list[int] | None = None
         try:
             if fetch_error is not None:
                 raise fetch_error
-            outcomes = run_step(jobs, level_runner)
+            outcomes = run_step(groups, level_runner)
         except (StoreError, ComputeError):
             if on_fault != "degrade":
                 raise
@@ -531,13 +522,7 @@ class Reconstructor(WorkerPoolMixin):
             failed_groups = groups
             groups = list(self._fetched)
             incremental = 0
-            jobs = [
-                (idx, lv, want)
-                for idx, (lv, want) in enumerate(
-                    zip(self.field.levels, groups)
-                )
-            ]
-            outcomes = run_step(jobs)
+            outcomes = run_step(groups)
 
         level_values = [values for _, values, _, _ in outcomes]
         coeffs = self.transform.assemble_levels(level_values)
@@ -645,11 +630,10 @@ class Reconstructor(WorkerPoolMixin):
     def _decode_levels_processes(self, jobs: list[tuple]) -> list[tuple]:
         """Per-level decodes on worker processes; fetch stays parent-side.
 
-        The parent materializes each level's serialized plane groups
-        through the field's (possibly lazy) group sequence — so
-        ``IOCounters``, the shared segment cache, retry policy, and
-        :class:`~repro.core.errors.StoreError` propagation are exactly
-        the serial path's — and ships only compute (decompress, plane
+        The parent serializes each level's plane groups, which
+        :meth:`fetch_step` already memoized (so ``IOCounters``, the
+        shared segment cache, retry policy, and fault handling are the
+        serial path's), and ships only compute (decompress, plane
         injection, finalize) to the workers. ``PartialDecodeState``
         travels out and back; commits stay parent-side, preserving the
         retry-after-failure contract. Levels whose step needs no new

@@ -45,6 +45,7 @@ from repro.core.tiling import (
     TiledReconstructor,
 )
 from repro.core.planner import RetrievalPlan
+from repro.util.validation import check_on_fault
 
 
 class SegmentCache:
@@ -230,7 +231,77 @@ class SegmentCache:
             }
 
 
-class ServiceSession:
+class _SessionCore:
+    """What both session kinds share around their reconstructor.
+
+    The service link and registration, the pipelined-step decision with
+    its stale-prefetch cancel, the next-group prefetch after each step,
+    and teardown. Hosts set ``self.reconstructor``.
+    """
+
+    def __init__(self, service: "RetrievalService") -> None:
+        self.service = service
+        self._queued_prefetch: list[str] = []
+
+    def _begin_step(self, pipelined: bool | None, default: bool) -> bool:
+        """Whether this step runs through the pipeline window.
+
+        ``pipelined=None`` keeps the session's *default*; the window is
+        inert under the ``processes`` backend. A windowed step first
+        cancels the prefetch warms this session queued last step — its
+        own window fetches those segments (warms that already landed
+        still pay off as cache hits).
+        """
+        windowed = (
+            default if pipelined is None else bool(pipelined)
+        ) and not self.reconstructor.uses_processes()
+        if windowed and self._queued_prefetch:
+            self.service.cancel_stale_prefetches(self._queued_prefetch)
+            self._queued_prefetch = []
+        return windowed
+
+    def _prefetch_next(self, reconstructors) -> None:
+        """Warm each reconstructor's next unfetched group per level.
+
+        Batched into one scheduling round: a wide tiled region can
+        touch hundreds of tiles, and the futures lock is shared across
+        sessions.
+        """
+        if not self.service.prefetch:
+            return
+        keys: list[str] = []
+        for recon in reconstructors:
+            keys.extend(self.service._next_group_keys(
+                recon.field, recon.fetched_groups
+            ))
+        self.service._enqueue_prefetch(keys)
+        self._queued_prefetch = keys
+
+    @property
+    def fetched_bytes(self) -> int:
+        """Cumulative payload bytes this session's steps fetched."""
+        return self.reconstructor.fetched_bytes
+
+    @property
+    def decode_state_bytes(self) -> int:
+        """Resident bytes of this session's retained incremental
+        decode state (integer partials + cached level values)."""
+        return self.reconstructor.decode_state_bytes()
+
+    def close(self) -> None:
+        """Tear down the session's decode worker pool (idempotent)."""
+        with self.service._sessions_lock:
+            self.service._sessions.discard(self)
+        self.reconstructor.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class ServiceSession(_SessionCore):
     """One client's progressive retrieval session over the service.
 
     Wraps a stateful :class:`~repro.core.reconstruct.Reconstructor` on a
@@ -240,13 +311,12 @@ class ServiceSession:
     walking a tolerance staircase finds its next increment already warm.
 
     ``pipelined=True`` (the service default over latency-bearing
-    stores) runs each step's segment fetches one level ahead of decode
-    through a bounded :class:`~repro.pipeline.retrieval
-    .RetrievalPipeline` window — generalizing the service's
-    fire-and-forget next-group prefetch into a scheduled window within
-    the step. Results, counters, and fault semantics are bit-identical
-    to the sequential path. Inert under the ``processes`` decode
-    backend (level decodes must route through the worker pool whole).
+    stores) runs each step through :func:`~repro.pipeline.retrieval
+    .pipelined_reconstruct`: the step's fetch chain runs up to
+    ``pipeline_window`` levels ahead of decode. Results, counters, and
+    fault semantics are bit-identical to the sequential path. Inert
+    under the ``processes`` decode backend (level decodes must route
+    through the worker pool whole).
     """
 
     def __init__(
@@ -259,49 +329,18 @@ class ServiceSession:
         pipeline_window: int = 4,
         fetch_workers: int = 2,
     ) -> None:
-        if pipeline_window < 1:
-            raise ValueError("pipeline_window must be >= 1")
-        if fetch_workers < 1:
-            raise ValueError("fetch_workers must be >= 1")
-        self.service = service
+        from repro.pipeline.retrieval import RetrievalPipeline
+
+        super().__init__(service)
+        # Validates window/fetch_workers; its fetch pool starts lazily.
+        self._pipeline = RetrievalPipeline(
+            window=pipeline_window, fetch_workers=fetch_workers
+        )
         self.field = field
         self.reconstructor = Reconstructor(
             field, num_workers=num_workers, backend=backend
         )
         self.pipelined = bool(pipelined)
-        self._pipeline_window = int(pipeline_window)
-        self._fetch_workers = int(fetch_workers)
-        self._pipeline = None
-
-    def _reconstruct_pipelined(
-        self, tolerance, relative, plan, on_fault
-    ) -> ReconstructionResult:
-        """One step with fetch running a level ahead of decode.
-
-        Queued service prefetches for exactly the segments this step is
-        about to fetch are cancelled first — the pipeline window
-        supersedes them (already-landed prefetches still pay off as
-        cache hits).
-        """
-        from repro.pipeline.retrieval import RetrievalPipeline
-
-        if on_fault not in ("raise", "degrade"):
-            raise ValueError(
-                f"on_fault must be 'raise' or 'degrade', got {on_fault!r}"
-            )
-        if self._pipeline is None:
-            self._pipeline = RetrievalPipeline(
-                window=self._pipeline_window,
-                fetch_workers=self._fetch_workers,
-            )
-        recon = self.reconstructor
-        step = recon.plan_step(tolerance, relative=relative, plan=plan)
-        self.service.cancel_stale_prefetches(recon.step_segment_keys(step))
-        return recon.decode_step(
-            step,
-            on_fault=on_fault,
-            level_runner=self._pipeline.level_runner(recon),
-        )
 
     def reconstruct(
         self,
@@ -321,21 +360,20 @@ class ServiceSession:
         ``pipelined`` overrides the session's setting for this call
         (``None`` keeps it).
         """
-        use_pipeline = (
-            self.pipelined if pipelined is None else bool(pipelined)
-        )
-        if use_pipeline and not self.reconstructor.uses_processes():
-            result = self._reconstruct_pipelined(
-                tolerance, relative, plan, on_fault
+        from repro.pipeline.retrieval import pipelined_reconstruct
+
+        check_on_fault(on_fault)
+        if self._begin_step(pipelined, self.pipelined):
+            result = pipelined_reconstruct(
+                self.reconstructor, self._pipeline, tolerance=tolerance,
+                relative=relative, plan=plan, on_fault=on_fault,
             )
         else:
             result = self.reconstructor.reconstruct(
                 tolerance=tolerance, relative=relative, plan=plan,
                 on_fault=on_fault,
             )
-        self.service._schedule_prefetch(
-            self.field, self.reconstructor.fetched_groups
-        )
+        self._prefetch_next([self.reconstructor])
         return result
 
     def progressive(
@@ -352,20 +390,9 @@ class ServiceSession:
         ]
 
     @property
-    def fetched_bytes(self) -> int:
-        """Cumulative payload bytes this session's plans required."""
-        return self.reconstructor.fetched_bytes
-
-    @property
     def fetched_groups(self) -> list[int]:
         """Cumulative per-level group counts fetched so far."""
         return self.reconstructor.fetched_groups
-
-    @property
-    def decode_state_bytes(self) -> int:
-        """Resident bytes of this session's retained incremental
-        decode state (integer partials + cached level values)."""
-        return self.reconstructor.decode_state_bytes()
 
     def stats(self) -> dict:
         """This session's progressive-state accounting, JSON-ready."""
@@ -376,22 +403,12 @@ class ServiceSession:
         }
 
     def close(self) -> None:
-        """Tear down the session's decode worker pool (idempotent)."""
-        with self.service._sessions_lock:
-            self.service._sessions.discard(self)
-        pipeline, self._pipeline = self._pipeline, None
-        if pipeline is not None:
-            pipeline.close()
-        self.reconstructor.close()
-
-    def __enter__(self) -> "ServiceSession":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        """Tear down the session's fetch and decode pools (idempotent)."""
+        self._pipeline.close()
+        super().close()
 
 
-class TiledServiceSession:
+class TiledServiceSession(_SessionCore):
     """One client's progressive session over a *tiled* field.
 
     Wraps a :class:`~repro.core.tiling.TiledReconstructor` on a lazily
@@ -414,14 +431,13 @@ class TiledServiceSession:
         pipeline_window: int = 4,
         fetch_workers: int = 2,
     ) -> None:
-        self.service = service
+        super().__init__(service)
         self.tiled = tiled
         self.reconstructor = TiledReconstructor(
             tiled, num_workers=num_workers, backend=backend,
             pipelined=pipelined, pipeline_window=pipeline_window,
             fetch_workers=fetch_workers,
         )
-        self._last_prefetch_keys: list[str] = []
 
     def reconstruct(
         self,
@@ -440,34 +456,15 @@ class TiledServiceSession:
         call at the same tolerance retries only the failed increments.
 
         ``pipelined`` overrides the session's setting for this call
-        (``None`` keeps it); a pipelined step first cancels any
-        still-queued service prefetches from the previous step — its
-        own fetch window supersedes them (prefetches that already
-        landed still pay off as cache hits).
+        (``None`` keeps it).
         """
-        use_pipeline = (
-            self.reconstructor.pipelined
-            if pipelined is None
-            else bool(pipelined)
-        )
-        if use_pipeline and self._last_prefetch_keys:
-            self.service.cancel_stale_prefetches(self._last_prefetch_keys)
-            self._last_prefetch_keys = []
+        check_on_fault(on_fault)
+        windowed = self._begin_step(pipelined, self.reconstructor.pipelined)
         out = self.reconstructor.reconstruct(
             tolerance=tolerance, relative=relative, region=region,
-            on_fault=on_fault, pipelined=pipelined,
+            on_fault=on_fault, pipelined=windowed,
         )
-        if self.service.prefetch:
-            # Batch every touched tile's next-group keys into one
-            # scheduling round: a wide region can touch hundreds of
-            # tiles, and the futures lock is shared across sessions.
-            keys: list[str] = []
-            for recon in self.reconstructor.touched_reconstructors():
-                keys.extend(self.service._next_group_keys(
-                    recon.field, recon.fetched_groups
-                ))
-            self.service._enqueue_prefetch(keys)
-            self._last_prefetch_keys = keys
+        self._prefetch_next(self.reconstructor.touched_reconstructors())
         return out
 
     def progressive(
@@ -485,20 +482,9 @@ class TiledServiceSession:
         ]
 
     @property
-    def fetched_bytes(self) -> int:
-        """Cumulative payload bytes fetched across touched tiles."""
-        return self.reconstructor.fetched_bytes
-
-    @property
     def tiles_touched(self) -> int:
         """Tiles whose reconstructors (decode state) exist so far."""
         return len(self.reconstructor.touched_tiles)
-
-    @property
-    def decode_state_bytes(self) -> int:
-        """Resident bytes of retained incremental decode state across
-        this session's touched tiles."""
-        return self.reconstructor.decode_state_bytes()
 
     def stats(self) -> dict:
         """This session's progressive-state accounting, JSON-ready.
@@ -518,18 +504,6 @@ class TiledServiceSession:
             "cold_bytes": io.cold_bytes,
             "cache_hit_bytes": io.cache_hit_bytes,
         }
-
-    def close(self) -> None:
-        """Tear down the session's decode worker pool (idempotent)."""
-        with self.service._sessions_lock:
-            self.service._sessions.discard(self)
-        self.reconstructor.close()
-
-    def __enter__(self) -> "TiledServiceSession":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 def _store_bears_latency(store) -> bool:
@@ -646,6 +620,11 @@ class RetrievalService(WorkerPoolMixin):
     def _pool_size(self) -> int:
         return max(1, self.num_workers)
 
+    def _thread_pool_size(self) -> int:
+        # The prefetch pool is not an execution backend: it has exactly
+        # ``num_workers`` threads whatever REPRO_BACKEND says.
+        return self._pool_size()
+
     def open(self, name: str) -> LazyRefactoredField:
         """Open *name* lazily with fetches routed through the shared cache.
 
@@ -678,16 +657,11 @@ class RetrievalService(WorkerPoolMixin):
         latency) — the case where overlapping fetch with decode pays;
         pass ``True``/``False`` to force it.
         """
-        if pipelined is None:
-            pipelined = _store_bears_latency(self.store)
-        session = ServiceSession(
-            self, self.open(name), num_workers=num_workers,
-            backend=backend, pipelined=pipelined,
+        return self._start_session(
+            ServiceSession, self.open(name), pipelined,
+            num_workers=num_workers, backend=backend,
             pipeline_window=pipeline_window, fetch_workers=fetch_workers,
         )
-        with self._sessions_lock:
-            self._sessions.add(session)
-        return session
 
     def open_tiled(self, name: str) -> LazyTiledField:
         """Open tiled field *name* with fetches routed through the cache.
@@ -723,13 +697,18 @@ class RetrievalService(WorkerPoolMixin):
         fetch/decode overlap on exactly when the backing store bears
         per-access latency; pass ``True``/``False`` to force it.
         """
-        if pipelined is None:
-            pipelined = _store_bears_latency(self.store)
-        session = TiledServiceSession(
-            self, self.open_tiled(name), num_workers=num_workers,
-            backend=backend, pipelined=pipelined,
+        return self._start_session(
+            TiledServiceSession, self.open_tiled(name), pipelined,
+            num_workers=num_workers, backend=backend,
             pipeline_window=pipeline_window, fetch_workers=fetch_workers,
         )
+
+    def _start_session(self, session_cls, field, pipelined, **kwargs):
+        """Build and register a session; ``pipelined=None`` means on
+        exactly when the backing store bears per-access latency."""
+        if pipelined is None:
+            pipelined = _store_bears_latency(self.store)
+        session = session_cls(self, field, pipelined=pipelined, **kwargs)
         with self._sessions_lock:
             self._sessions.add(session)
         return session
@@ -761,14 +740,6 @@ class RetrievalService(WorkerPoolMixin):
                 if key not in self.cache:
                     keys.append(key)
         return keys
-
-    def _schedule_prefetch(
-        self, field: LazyRefactoredField, fetched_groups: list[int]
-    ) -> None:
-        """Warm the next unfetched group per level in the background."""
-        if not self.prefetch:
-            return
-        self._enqueue_prefetch(self._next_group_keys(field, fetched_groups))
 
     def _enqueue_prefetch(self, keys: list[str]) -> None:
         """Submit background warms for *keys* under one lock round."""
@@ -814,12 +785,12 @@ class RetrievalService(WorkerPoolMixin):
     def cancel_stale_prefetches(self, keys) -> int:
         """Cancel still-queued prefetch warms for *keys*; return count.
 
-        The pipelined sessions call this with the segment keys their
-        next window is about to fetch anyway: a warm that has not
-        started yet would only duplicate scheduling work, so it is
-        pulled from the queue (``prefetch_cancelled``). Warms already
-        running — or already landed — are left alone; landed ones still
-        pay off as cache hits.
+        A pipelined session step calls this with the keys the session
+        queued last step, which its window is about to fetch anyway: a
+        warm that has not started yet would only duplicate scheduling
+        work, so it is pulled from the queue (``prefetch_cancelled``).
+        Warms already running — or already landed — are left alone;
+        landed ones still pay off as cache hits.
         """
         cancelled = 0
         with self._futures_lock:

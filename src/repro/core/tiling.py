@@ -55,7 +55,11 @@ from repro.core.reconstruct import DecodeCounters, Reconstructor
 from repro.core.refactor import RefactorConfig, Refactorer
 from repro.core.stream import IOCounters, RefactoredField
 from repro.decompose import MultilevelTransform
-from repro.util.validation import check_dtype_floating, check_tolerance
+from repro.util.validation import (
+    check_dtype_floating,
+    check_on_fault,
+    check_tolerance,
+)
 
 
 @dataclass(frozen=True)
@@ -618,8 +622,9 @@ class TiledReconstructor(WorkerPoolMixin):
     paper's Fig. 4 stage overlap on the real retrieval stack. On a
     latency-bearing store a staircase step then pays ≈max(fetch,
     decode) instead of their sum, with bit-identical results, counters,
-    and fault semantics (each tile's store accesses stay one sequential
-    chain in the sequential path's exact order). The process backend
+    and fault semantics: pipelined or not, every tile runs the same
+    fetch → decode stage pair, and the window only changes how far
+    ahead the fetch runs. The process backend
     ignores the flag: its worker-resident sessions already overlap
     store I/O across workers, and tile state must live in exactly one
     place.
@@ -635,12 +640,13 @@ class TiledReconstructor(WorkerPoolMixin):
         pipeline_window: int = 4,
         fetch_workers: int = 2,
     ) -> None:
+        # Local import: repro.pipeline hosts optional accelerator
+        # modules; core must not import it at module load. The
+        # retrieval runtime itself needs no optional dependency.
+        from repro.pipeline.retrieval import RetrievalPipeline
+
         if num_workers < 0:
             raise ValueError("num_workers must be >= 0")
-        if pipeline_window < 1:
-            raise ValueError("pipeline_window must be >= 1")
-        if fetch_workers < 1:
-            raise ValueError("fetch_workers must be >= 1")
         self.tiled = tiled
         self.num_workers = int(num_workers)
         self.incremental = bool(incremental)
@@ -648,9 +654,12 @@ class TiledReconstructor(WorkerPoolMixin):
             parse_backend_spec(backend)  # validates, raises on junk
         self.backend = backend
         self.pipelined = bool(pipelined)
-        self.pipeline_window = int(pipeline_window)
-        self.fetch_workers = int(fetch_workers)
-        self._pipeline = None
+        # Validates window/fetch_workers; its fetch pool starts lazily.
+        self._pipeline = RetrievalPipeline(
+            window=pipeline_window, fetch_workers=fetch_workers
+        )
+        self.pipeline_window = self._pipeline.window
+        self.fetch_workers = self._pipeline.fetch_workers
         self._recons: dict[int, Reconstructor] = {}
         self._transforms: dict[tuple, MultilevelTransform] = {}
         self._state_lock = threading.Lock()
@@ -692,7 +701,7 @@ class TiledReconstructor(WorkerPoolMixin):
 
         Touching a lazily-opened tiled field here also opens the tile's
         sub-field (one index fetch); untouched tiles stay unopened.
-        Runs inside the per-tile decode jobs, so first-touch opens of
+        Runs inside each tile's fetch stage, so first-touch opens of
         different tiles — store I/O on a lazy field — overlap across
         the worker pool instead of serializing up front. Construction
         happens outside the memo lock; positions are unique per step,
@@ -786,20 +795,6 @@ class TiledReconstructor(WorkerPoolMixin):
                 parts.append(IOCounters(*shadow["io"]))
         return IOCounters.total(parts)
 
-    def _retrieval_pipeline(self):
-        """The instance's lazily-built retrieval pipeline runtime."""
-        # Local import: repro.pipeline hosts optional accelerator
-        # modules; core must not import it at module load.
-        from repro.pipeline.retrieval import RetrievalPipeline
-
-        with self._state_lock:
-            if self._pipeline is None:
-                self._pipeline = RetrievalPipeline(
-                    window=self.pipeline_window,
-                    fetch_workers=self.fetch_workers,
-                )
-            return self._pipeline
-
     def reconstruct(
         self,
         tolerance: float | None = None,
@@ -845,10 +840,7 @@ class TiledReconstructor(WorkerPoolMixin):
         sequential path. Inert under the process backend and for
         single-tile steps.
         """
-        if on_fault not in ("raise", "degrade"):
-            raise ValueError(
-                f'on_fault must be "raise" or "degrade", got {on_fault!r}'
-            )
+        check_on_fault(on_fault)
         if relative and tolerance is None:
             raise ValueError(
                 "relative=True requires a tolerance; near-lossless "
@@ -872,53 +864,42 @@ class TiledReconstructor(WorkerPoolMixin):
         selected = self.tiled.tiles_overlapping(region_slices)
         jobs = [(pos, overlap) for pos, _, overlap in selected]
 
-        def decode_tile(job):
-            # First-touch construction happens here, inside the fan-out:
-            # on a store-backed field the per-tile index fetches overlap
-            # across workers instead of serializing before the decode.
-            position, (tile_local, region_local) = job
-            try:
-                recon = self._reconstructor_for(position)
-            except StoreError:
-                if on_fault != "degrade":
-                    raise
-                # The tile never opened: nothing is committed, so there
-                # is no stale answer to fall back on — fill with zeros
-                # and report an unbounded error for this step.
-                shape = tuple(
-                    loc.stop - loc.start for loc in tile_local
-                )
-                block = np.zeros(shape, dtype=self.tiled.dtype)
-                return position, region_local, block, math.inf, True, None
-            result = recon.reconstruct(tolerance=tol, on_fault=on_fault)
-            return (
-                position,
-                region_local,
-                result.data[tile_local],
-                result.error_bound,
-                result.degraded,
-                result.failed_groups,
-            )
-
         use_pipeline = self.pipelined if pipelined is None else bool(
             pipelined
         )
         spec = self._backend_spec()
+        fetch = functools.partial(
+            self._pipeline_fetch_tile, tol=tol, on_fault=on_fault
+        )
+        decode = functools.partial(self._pipeline_decode_tile,
+                                   on_fault=on_fault)
         if spec.kind == "processes" and spec.workers > 1:
             # Worker-resident tile state: always route through the
             # backend once resolved to it (even single-tile steps), so
             # a tile's progressive state lives in exactly one place.
             # ``pipelined`` is inert here — the workers already fetch
             # their own segments store-side, overlapping I/O across the
-            # pool, and tile state must live in exactly one place.
+            # pool.
             outcomes = self._decode_tiles_processes(jobs, tol, on_fault)
         elif use_pipeline and len(jobs) > 1:
-            outcomes = self._decode_tiles_pipelined(
-                jobs, tol, on_fault, spec, out
+            # Fetch runs up to ``pipeline_window`` tiles ahead of decode
+            # (on the caller thread, or the worker pool under threads);
+            # each block commits into ``out`` in-stream and is dropped,
+            # so decoded-but-unstitched data stays O(window).
+            threads = spec.kind == "threads" and spec.workers > 1
+            outcomes = self._pipeline.run(
+                jobs,
+                fetch,
+                decode,
+                commit=functools.partial(self._pipeline_commit_tile,
+                                         out=out),
+                decode_pool=self._worker_pool() if threads else None,
+                decode_workers=spec.workers,
             )
         else:
-            # reprolint: disable=R3 -- serial/threads path: the processes case above ships _task_decode_tile by name
-            outcomes = self.map_jobs(decode_tile, jobs)
+            outcomes = self.map_jobs(
+                functools.partial(self._run_tile, fetch, decode), jobs
+            )
         worst = 0.0
         degraded = False
         failed_tiles: list[int] = []
@@ -942,60 +923,34 @@ class TiledReconstructor(WorkerPoolMixin):
             failed_groups=failed_groups,
         )
 
-    def _decode_tiles_pipelined(
-        self,
-        jobs: list[tuple],
-        tol: float | None,
-        on_fault: str,
-        spec,
-        out: np.ndarray,
-    ) -> list[tuple]:
-        """One step of the selected tiles with stage overlap (Fig. 4).
+    @staticmethod
+    def _run_tile(fetch, decode, job):
+        """One tile's fetch → decode, inline (serial/threads fan-out)."""
+        return decode(job, fetch(job))
 
-        Fetch (store I/O through the tile's lazy resolver, on the
-        pipeline's fetch pool) runs up to ``pipeline_window`` tiles
-        ahead of decode (plane-group decompress + inject, on the caller
-        thread or — under the threads backend — the instance's worker
-        pool); each decoded block commits into the stitched output
-        in-stream, on the caller thread, and is released immediately so
-        resident decoded-but-unstitched data stays O(window). Results
-        are bit-identical to the sequential fan-out: each tile's store
-        accesses remain one sequential chain in the same key order, and
-        a stage failure drains the window, then surfaces (or degrades)
-        exactly where the sequential path would.
+    def _lost_tile(self, pos, tile_local, region_local) -> tuple:
+        """Outcome of a degraded tile with no committed refinement.
+
+        The tile never opened, or its worker-resident state died: there
+        is no stale answer to fall back on, so it contributes zeros and
+        an unbounded (``inf``) error.
         """
-        pipeline = self._retrieval_pipeline()
-        decode_pool = None
-        decode_workers = 1
-        if spec.kind == "threads" and spec.workers > 1:
-            decode_pool = self._worker_pool()
-            decode_workers = spec.workers
-        fetch = functools.partial(
-            self._pipeline_fetch_tile, tol=tol, on_fault=on_fault
-        )
-        decode = functools.partial(self._pipeline_decode_tile,
-                                   on_fault=on_fault)
-        commit = functools.partial(self._pipeline_commit_tile, out=out)
-        return pipeline.run(
-            jobs,
-            fetch,
-            decode,
-            commit=commit,
-            decode_pool=decode_pool,
-            decode_workers=decode_workers,
-        )
+        shape = tuple(s.stop - s.start for s in tile_local)
+        block = np.zeros(shape, dtype=self.tiled.dtype)
+        return pos, region_local, block, math.inf, True, None
 
     def _pipeline_fetch_tile(self, job, tol, on_fault):
         """Fetch stage: first-touch open + plan + segment resolution.
 
-        Returns ``(reconstructor, step, fault)``. Expected store faults
-        are *captured*, not raised, so they surface at decode time in
-        tile order — matching the sequential fan-out's failure choice —
-        and so the faulted fetch is never retried (a retry would shift
-        per-key access counts and desynchronize seeded fault
+        The store-reading half of every tile step, whether it runs
+        inline or on the pipeline's fetch pool. Returns
+        ``(reconstructor, step, fault)``. Expected store faults are
+        *captured*, not raised, so they surface at decode time in tile
+        order and the faulted fetch is never retried (a retry would
+        shift per-key access counts and desynchronize seeded fault
         schedules). A fault before the tile ever opened returns
-        ``(None, None, exc)`` under ``degrade`` (the zeros/inf tile);
-        plan-time faults always raise, as they do sequentially.
+        ``(None, None, exc)`` under ``degrade`` (a lost tile); plan-time
+        faults always raise.
         """
         position = job[0]
         try:
@@ -1014,20 +969,15 @@ class TiledReconstructor(WorkerPoolMixin):
     def _pipeline_decode_tile(self, job, fetched, on_fault):
         """Decode stage: one tile's plane-group decompress + commit.
 
-        Same outcome shape as the sequential ``decode_tile``; a fetch
-        fault captured upstream replays through ``decode_step`` so the
-        ``on_fault`` policy (raise, or degrade to the last committed
-        refinement) is decided by exactly the code the sequential path
-        runs.
+        Never reads the store. A fetch fault captured upstream replays
+        through ``decode_step``, so the ``on_fault`` policy (raise, or
+        degrade to the last committed refinement) is decided there; a
+        tile that never opened is lost (:meth:`_lost_tile`).
         """
         position, (tile_local, region_local) = job
         recon, step, fault = fetched
         if recon is None:
-            # The tile never opened: nothing is committed, so there is
-            # no stale answer to fall back on — zeros, unbounded error.
-            shape = tuple(loc.stop - loc.start for loc in tile_local)
-            block = np.zeros(shape, dtype=self.tiled.dtype)
-            return position, region_local, block, math.inf, True, None
+            return self._lost_tile(position, tile_local, region_local)
         result = recon.decode_step(
             step, on_fault=on_fault, fetch_error=fault
         )
@@ -1127,15 +1077,10 @@ class TiledReconstructor(WorkerPoolMixin):
                     # The tile's worker-resident refinement died with
                     # its worker (crash, quarantine, or deadline kill):
                     # nothing is committed parent-side, so degrade like
-                    # a never-opened tile — zeros, unbounded error —
-                    # and rebuild from scratch on the next call.
-                    shape = tuple(
-                        s.stop - s.start for s in tile_local
-                    )
-                    outcome_by_pos[pos] = (
-                        pos, region_local,
-                        np.zeros(shape, dtype=self.tiled.dtype),
-                        math.inf, True, None,
+                    # a never-opened tile and rebuild from scratch on
+                    # the next call.
+                    outcome_by_pos[pos] = self._lost_tile(
+                        pos, tile_local, region_local
                     )
                 else:
                     failures.append((pos, value))
@@ -1150,17 +1095,11 @@ class TiledReconstructor(WorkerPoolMixin):
     def _tile_outcome(
         self, pos: int, tile_local: tuple, region_local: tuple, res: dict
     ) -> tuple:
-        """One worker reply → the serial decode_tile outcome shape."""
+        """One worker reply → the ``_pipeline_decode_tile`` outcome."""
         if res["status"] == "unopened":
-            # Mirrors the serial never-opened degrade: zeros, no
-            # guarantee, nothing cached — the next call retries (the
-            # source stayed resident, so no re-ship is needed).
-            shape = tuple(s.stop - s.start for s in tile_local)
-            return (
-                pos, region_local,
-                np.zeros(shape, dtype=self.tiled.dtype),
-                math.inf, True, None,
-            )
+            # The next call retries (the source stayed resident, so no
+            # re-ship is needed).
+            return self._lost_tile(pos, tile_local, region_local)
         with self._state_lock:
             self._shadow[pos] = {
                 key: res[key]
@@ -1175,11 +1114,8 @@ class TiledReconstructor(WorkerPoolMixin):
         )
 
     def close(self) -> None:
-        """Release worker-resident session state, then the local pool."""
-        with self._state_lock:
-            pipeline, self._pipeline = self._pipeline, None
-        if pipeline is not None:
-            pipeline.close()
+        """Release worker-resident session state, then the local pools."""
+        self._pipeline.close()
         if self._shipped:
             try:
                 backend = self._process_backend()

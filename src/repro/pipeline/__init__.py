@@ -20,42 +20,37 @@ stages correct. This package provides:
   sequential paths.
 """
 
-from repro.pipeline.dag import (
-    build_reconstruct_dag,
-    build_refactor_dag,
-    serial_chain,
-)
-from repro.pipeline.executor import PipelinedExecutor
-from repro.pipeline.multigpu import (
-    FRONTIER_NODE,
-    TALAPAS_NODE,
-    NodeSpec,
-    weak_scaling,
-)
-from repro.pipeline.retrieval import (
-    RetrievalPipeline,
-    pipelined_reconstruct,
-)
-from repro.pipeline.scheduler import (
-    StageCosts,
-    pipeline_speedup,
-    reconstruct_stage_costs,
-    refactor_stage_costs,
-)
+import importlib
 
-__all__ = [
-    "build_refactor_dag",
-    "build_reconstruct_dag",
-    "serial_chain",
-    "StageCosts",
-    "refactor_stage_costs",
-    "reconstruct_stage_costs",
-    "pipeline_speedup",
-    "PipelinedExecutor",
-    "RetrievalPipeline",
-    "pipelined_reconstruct",
-    "NodeSpec",
-    "TALAPAS_NODE",
-    "FRONTIER_NODE",
-    "weak_scaling",
-]
+# The DAG builders and the simulated executor need networkx, which is not
+# a core dependency; the retrieval runtime (used by ``repro.core``) needs
+# only numpy. Resolve each public name on first access so importing
+# ``repro.pipeline.retrieval`` never pulls in networkx.
+_EXPORTS = {
+    "build_refactor_dag": "dag",
+    "build_reconstruct_dag": "dag",
+    "serial_chain": "dag",
+    "StageCosts": "scheduler",
+    "refactor_stage_costs": "scheduler",
+    "reconstruct_stage_costs": "scheduler",
+    "pipeline_speedup": "scheduler",
+    "PipelinedExecutor": "executor",
+    "RetrievalPipeline": "retrieval",
+    "pipelined_reconstruct": "retrieval",
+    "NodeSpec": "multigpu",
+    "TALAPAS_NODE": "multigpu",
+    "FRONTIER_NODE": "multigpu",
+    "weak_scaling": "multigpu",
+}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+__all__ = list(_EXPORTS)

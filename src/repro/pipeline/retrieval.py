@@ -27,9 +27,13 @@ The window rules implement the DAG edges: a work item's fetch may start
 while earlier items decode (``X_{i-1} → I_i`` — the fetch stage runs at
 most ``window`` items ahead, bounding resident fetched-but-undecoded
 data at O(window)), and commits retire in order as decodes complete
-(``X_{i+1} → O_i``). The runtime never reorders *store accesses* within
-a work item: each item's fetch is one sequential chain in the
-sequential path's exact key order, so seeded fault schedules
+(``X_{i+1} → O_i``). Every step keeps the sequential path's shape —
+plan → fetch chain → decode → commit — and the window only changes how
+far ahead the fetch chain runs. Work items are the tiles of a tiled
+step (each tile's fetch is its own chain) or the levels of an untiled
+step (one chain across them, :class:`_LevelFetchChain`). Store accesses
+keep the sequential path's exact key order and decode never reads the
+store, so seeded fault schedules
 (:class:`~repro.core.faults.FaultInjectingStore` draws are keyed on
 per-key access counts) replay identically pipelined or not — the
 foundation of the chaos-parity guarantee. A stage failure drains the
@@ -39,86 +43,67 @@ the sequential fan-out would have raised it.
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from queue import Empty, Queue
 
 from repro.core._pool import track_thread_pool
 from repro.core.errors import StoreError
+from repro.util.validation import check_on_fault
 
 
-def _fetch_level_chain(reconstructor, jobs, ready) -> None:
-    """Fetch stage of one untiled step: a single sequential chain.
+class _LevelFetchChain:
+    """Fetch stage of one untiled step: its levels as one ordered chain.
 
-    Walks the step's levels ascending (groups ascending within each) —
-    the sequential decode pass's exact store-access order — reporting
-    each level's completion into the bounded *ready* queue, whose
-    ``maxsize`` keeps the chain at most ``window`` levels ahead of the
-    decode stage. A :class:`~repro.core.errors.StoreError` truncates
-    the chain exactly where the sequential path would stop and travels
-    to the decode loop as that level's outcome, so ``on_fault``
-    semantics (and per-key store access counts) are unchanged.
-    """
-    for job in jobs:
-        idx = job[0]
-        try:
-            reconstructor.fetch_level_groups(idx, job[2])
-        except StoreError as exc:
-            ready.put((idx, exc))
-            return
-        ready.put((idx, None))
-
-
-class _LevelWindowRunner:
-    """``level_runner`` for :meth:`Reconstructor.decode_step`.
-
-    Drives one untiled step with its fetch chain on the pipeline's
-    fetch pool while the caller thread decodes levels in order as their
-    segments land — the ``X_{i-1} → I_i`` overlap within a step,
-    generalizing the service's fire-and-forget next-group prefetch
-    into a scheduled window.
+    :meth:`RetrievalPipeline.run` may hand level items to several fetch
+    threads, but the step's store reads must stay the chain
+    :meth:`~repro.core.reconstruct.Reconstructor.fetch_step` walks:
+    levels ascending, stopping at the first
+    :class:`~repro.core.errors.StoreError`. So a call for level *idx*
+    fetches, in order and under the chain's lock, every level up to
+    *idx* not fetched yet, and reports the fault only to the level that
+    raised it and the levels after it.
     """
 
-    def __init__(self, pipeline: "RetrievalPipeline", reconstructor):
-        self._pipeline = pipeline
+    def __init__(self, reconstructor, jobs) -> None:
         self._reconstructor = reconstructor
+        self._wants = [job[2] for job in jobs]
+        self._lock = threading.Lock()
+        self._cursor = 0  # next level to fetch
+        self._fault: StoreError | None = None
 
-    def __call__(self, jobs, decode_level):
-        ready: Queue = Queue(maxsize=self._pipeline.window)
-        chain = self._pipeline._fetch_executor().submit(
-            _fetch_level_chain, self._reconstructor, jobs, ready
-        )
-        fetched: dict[int, BaseException | None] = {}
-        try:
-            outcomes = []
-            for job in jobs:
-                idx = job[0]
-                while idx not in fetched:
-                    i, err = ready.get()
-                    fetched[i] = err
-                err = fetched[idx]
-                if err is not None:
-                    # Raise at the level the sequential pass would have
-                    # faulted on; decode_step's on_fault policy takes
-                    # over (degrade re-runs the committed, store-free
-                    # refinement). Levels decoded before this point did
-                    # no harm: nothing commits until the step succeeds.
-                    raise err
-                outcomes.append(decode_level(job))
-            return outcomes
-        finally:
-            # Drain: the chain must not outlive the step. It can be
-            # blocked on the bounded queue, so keep consuming until it
-            # settles; its exception (if any) is retrieved to keep the
-            # executor quiet — StoreErrors already travel via `ready`.
-            while not chain.done():
+    def fetch(self, job) -> StoreError | None:
+        idx = job[0]
+        with self._lock:
+            while self._fault is None and self._cursor <= idx:
                 try:
-                    entry = ready.get(timeout=0.05)
-                    fetched[entry[0]] = entry[1]
-                except Empty:
-                    pass
-            chain.exception()
+                    self._reconstructor.fetch_level_groups(
+                        self._cursor, self._wants[self._cursor]
+                    )
+                except StoreError as exc:
+                    self._fault = exc
+                else:
+                    self._cursor += 1
+            return self._fault if self._cursor <= idx else None
+
+
+def _decode_fetched_level(decode_level, job, fault):
+    # Raise at the level the fetch chain faulted on; decode_step's
+    # on_fault policy takes over. Nothing commits until the step
+    # succeeds, so levels decoded before this one did no harm.
+    if fault is not None:
+        raise fault
+    return decode_level(job)
+
+
+def _run_level_window(pipeline, reconstructor, jobs, decode_level):
+    """``level_runner`` for :meth:`Reconstructor.decode_step`: the
+    step's levels streamed through *pipeline*'s window, the fetch chain
+    running ahead of the caller thread's level decodes."""
+    chain = _LevelFetchChain(reconstructor, jobs)
+    decode = functools.partial(_decode_fetched_level, decode_level)
+    return pipeline.run(jobs, chain.fetch, decode)
 
 
 class RetrievalPipeline:
@@ -155,10 +140,6 @@ class RetrievalPipeline:
                 track_thread_pool(pool)
                 self._fetch_pool = pool
             return self._fetch_pool
-
-    def level_runner(self, reconstructor) -> _LevelWindowRunner:
-        """A ``decode_step`` level runner bound to this pipeline."""
-        return _LevelWindowRunner(self, reconstructor)
 
     def run(
         self,
@@ -282,19 +263,19 @@ def pipelined_reconstruct(
     """One pipelined progressive step on an untiled ``Reconstructor``.
 
     Equivalent to ``reconstructor.reconstruct(...)`` — bit-identical
-    results, counters, and fault semantics — with the step's segment
-    fetches running one level ahead of decode through *pipeline*'s
-    window (see :class:`_LevelWindowRunner`).
+    results, counters, and fault semantics — with the step's levels
+    streamed through *pipeline*'s window: the fetch chain runs up to
+    ``window`` levels ahead of decode, in the same key order, stopping
+    at the same fault.
     """
-    if on_fault not in ("raise", "degrade"):
-        raise ValueError(
-            f"on_fault must be 'raise' or 'degrade', got {on_fault!r}"
-        )
+    check_on_fault(on_fault)
     step = reconstructor.plan_step(tolerance, relative=relative, plan=plan)
     return reconstructor.decode_step(
         step,
         on_fault=on_fault,
-        level_runner=pipeline.level_runner(reconstructor),
+        level_runner=functools.partial(
+            _run_level_window, pipeline, reconstructor
+        ),
     )
 
 

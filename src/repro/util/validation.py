@@ -50,6 +50,20 @@ def check_tolerance(
     return value
 
 
+def check_on_fault(on_fault: Any) -> str:
+    """Validate a retrieval ``on_fault`` policy and return it.
+
+    The single gate every retrieval entry point runs before it touches
+    the store: ``"raise"`` propagates storage faults, ``"degrade"``
+    answers from the last committed refinement.
+    """
+    if on_fault not in ("raise", "degrade"):
+        raise ValueError(
+            f"on_fault must be 'raise' or 'degrade', got {on_fault!r}"
+        )
+    return on_fault
+
+
 def check_dtype_floating(arr: np.ndarray) -> None:
     """Validate that *arr* holds float32 or float64 data."""
     if arr.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
