@@ -1,5 +1,8 @@
 """Hot-path wall-clock benchmarks: transpose, bitplane codec, Huffman, RLE.
 
+Also reports (ungated) the write path's per-``Refactorer`` set-up costs:
+cold level error weights and Huffman code-length construction.
+
 Times the vectorized fast paths against the retained seed reference
 implementations at 1M+ elements, in the same process and run, and writes
 the measurements to ``BENCH_hotpaths.json`` at the repo root — the perf
@@ -38,7 +41,9 @@ from repro.bitplane.encoding import (
     inject_planes,
     inject_planes_reference,
 )
-from repro.lossless.huffman import HuffmanCodec
+from repro.decompose import MultilevelTransform
+from repro.decompose.norms import _level_error_weights, level_error_weights
+from repro.lossless.huffman import HuffmanCodec, build_code_lengths
 from repro.lossless.rle import rle_decode, rle_encode
 
 pytestmark = pytest.mark.bench
@@ -52,6 +57,10 @@ REPS = 7
 #: Symbols and chunk size of the small-stream Huffman decode case.
 SMALL_STREAM_SYMBOLS = 1792
 SMALL_STREAM_CHUNK = 1024
+#: Grid of the cold level-error-weight case (perfbench's field shape).
+WEIGHTS_SHAPE = (96, 96, 96)
+#: build_code_lengths calls per timed repetition (one call is ~0.3 ms).
+CODE_LENGTH_CALLS = 100
 
 #: Acceptance floors for ISSUE 1: combined encode+decode and Huffman
 #: decode speedups at 1M elements versus the seed paths.
@@ -128,7 +137,10 @@ def _best_time(fn, reps: int = REPS):
 
 
 def run_benchmarks(
-    n: int = N_ELEMENTS, num_bitplanes: int = NUM_BITPLANES, reps: int = REPS
+    n: int = N_ELEMENTS,
+    num_bitplanes: int = NUM_BITPLANES,
+    reps: int = REPS,
+    weights_shape: tuple[int, ...] = WEIGHTS_SHAPE,
 ) -> dict:
     """Measure all hot paths; returns the BENCH_hotpaths payload."""
     rng = np.random.default_rng(0)
@@ -199,6 +211,24 @@ def run_benchmarks(
         "small-stream decode diverged from the reference decoder"
     assert np.array_equal(small_fast, small)
 
+    # -- write-path set-up (reported only, no *speedup* key) -------------
+    # Weights are memoized per geometry; clearing the memo before every
+    # repetition times the cold cost a new grid shape pays once.
+    def cold_weights(mode: str) -> list[float]:
+        _level_error_weights.cache_clear()
+        return level_error_weights(MultilevelTransform(weights_shape,
+                                                       mode=mode))
+
+    t_weights = {
+        mode: _best_time(lambda: cold_weights(mode), reps)[0]
+        for mode in ("hierarchical", "mgard")
+    }
+    freqs = rng.integers(1, 1 << 16, 256)
+    t_lengths, _ = _best_time(
+        lambda: [build_code_lengths(freqs) for _ in range(CODE_LENGTH_CALLS)],
+        reps,
+    )
+
     # -- RLE -------------------------------------------------------------
     rdata = np.repeat(
         rng.integers(0, 4, n // 64).astype(np.uint8), 64
@@ -256,6 +286,14 @@ def run_benchmarks(
             "decode_fast_ms": t_sdec * 1e3,
             "decode_throughput_mbps": small.size / 1e6 / t_sdec,
         },
+        "write_setup": {
+            "weights_shape": list(weights_shape),
+            "level_error_weights_cold_ms": {
+                mode: t * 1e3 for mode, t in t_weights.items()
+            },
+            "build_code_lengths_256_symbols_us":
+                t_lengths / CODE_LENGTH_CALLS * 1e6,
+        },
         "rle": {
             "encode_ms": t_renc * 1e3,
             "decode_ms": t_rdec * 1e3,
@@ -290,7 +328,7 @@ def main(argv: list[str] | None = None) -> None:
         # Tiny sizes: the equality assertions inside run_benchmarks
         # still exercise every fast-vs-reference pair; no floors, no
         # baseline overwrite.
-        run_benchmarks(n=1 << 14, reps=1)
+        run_benchmarks(n=1 << 14, reps=1, weights_shape=(16, 16, 16))
         print("bench_hotpaths smoke ok (tiny sizes, no floors, "
               "nothing written)")
         return
@@ -319,6 +357,14 @@ def main(argv: list[str] | None = None) -> None:
         f"huffman small stream ({small['num_symbols']} symbols): decode "
         f"{small['decode_fast_ms']:.2f} ms vs reference "
         f"{small['decode_reference_ms']:.2f} ms"
+    )
+    setup = results["write_setup"]
+    weights = setup["level_error_weights_cold_ms"]
+    print(
+        f"write set-up: cold level weights at {setup['weights_shape']} "
+        f"{weights['hierarchical']:.1f} ms (hierarchical), "
+        f"{weights['mgard']:.1f} ms (mgard); build_code_lengths "
+        f"{setup['build_code_lengths_256_symbols_us']:.0f} us"
     )
     print(
         f"rle: encode {results['rle']['encode_throughput_mbps']:.0f} MB/s, "

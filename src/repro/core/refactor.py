@@ -128,6 +128,16 @@ class Refactorer(WorkerPoolMixin):
     ``config.backend`` / ``REPRO_BACKEND`` / ``config.num_workers``;
     under the process backend the config is pickled to each worker once
     and per-level encodes run truly parallel.
+
+    Construction computes the level error weights stored with every
+    field. Each weight needs only one level step, not a full recompose:
+    once level ℓ's detail step has run, every finer step adds zero
+    detail and only interpolates with nonnegative weights summing to
+    one, so the response's maximum is already fixed (see
+    :mod:`repro.decompose.norms`). The weights are memoized per
+    ``(geometry, mode)``, so the per-field ``refactor()`` wrapper — one
+    new instance per variable and time step — pays for them once per
+    grid shape.
     """
 
     def __init__(

@@ -134,8 +134,11 @@ class MultilevelTransform:
         of the retrieval planner's guarantee.
         """
         data = self._prepare(coeffs)
-        if np.any(data < 0):
-            raise ValueError("absolute recompose expects nonnegative input")
+        # Written so NaN fails too (``NaN < 0`` is False); +inf passes.
+        if not np.all(data >= 0):
+            raise ValueError(
+                "absolute recompose expects nonnegative, non-NaN input"
+            )
         shapes = self.geometry.corner_shapes()
         for step in range(self.num_levels - 1, -1, -1):
             block = data[tuple(slice(0, s) for s in shapes[step])]

@@ -61,9 +61,16 @@ def build_code_lengths(
 ) -> np.ndarray:
     """Huffman code lengths per symbol (0 for absent symbols).
 
-    Standard heap construction followed by Kraft-sum repair to honor
+    Two-queue construction followed by Kraft-sum repair to honor
     *max_length* (increment the deepest sub-limit codes until the Kraft
     inequality holds, then greedily shorten where slack remains).
+
+    Leaves are sorted by ``(freq, symbol)``; internal nodes are created
+    in nondecreasing weight order, so a FIFO of them stays sorted and
+    each merge takes the two smallest fronts, a leaf winning a tie (on
+    equal weight the internal node's tie key, ``256 + creation index``,
+    is above every symbol). That is exactly the order of a heap keyed on
+    ``(freq, tie key)``, so tree and lengths match the classic heap.
     """
     freqs = np.asarray(freqs, dtype=np.int64)
     if freqs.ndim != 1 or freqs.size > 256:
@@ -78,26 +85,29 @@ def build_code_lengths(
         lengths[present[0]] = 1
         return lengths
 
-    # Heap of (freq, tiebreak, node-id); parents recorded for depth walk.
-    heap = [(int(freqs[s]), int(s), int(i)) for i, s in enumerate(present)]
-    heapq.heapify(heap)
-    parent: list[int] = [-1] * present.size
-    counter = present.size
-    while len(heap) > 1:
-        f1, _, n1 = heapq.heappop(heap)
-        f2, _, n2 = heapq.heappop(heap)
-        parent.append(-1)
-        parent[n1] = counter
-        parent[n2] = counter
-        heapq.heappush(heap, (f1 + f2, 256 + counter, counter))
-        counter += 1
-    depths = np.zeros(present.size, dtype=np.int64)
-    for leaf in range(present.size):
-        node, d = leaf, 0
-        while parent[node] != -1:
-            node = parent[node]
-            d += 1
-        depths[leaf] = d
+    # Node ids: leaves 0..n-1 in (freq, symbol) order, then internal
+    # nodes n..2n-2 in creation order; parent[child] > child always.
+    n = present.size
+    order = np.argsort(freqs[present], kind="stable")
+    weight = freqs[present[order]].tolist()
+    parent = [0] * (2 * n - 1)
+    leaf, node = 0, n  # fronts of the leaf and internal-node queues
+    for new in range(n, 2 * n - 1):
+        pair = []
+        for _ in range(2):
+            if leaf < n and (node >= new or weight[leaf] <= weight[node]):
+                pair.append(leaf)
+                leaf += 1
+            else:
+                pair.append(node)
+                node += 1
+        parent[pair[0]] = parent[pair[1]] = new
+        weight.append(weight[pair[0]] + weight[pair[1]])
+    depth = [0] * (2 * n - 1)
+    for child in range(2 * n - 3, -1, -1):
+        depth[child] = depth[parent[child]] + 1
+    depths = np.zeros(n, dtype=np.int64)
+    depths[order] = depth[:n]
 
     depths = _limit_lengths(depths, np.asarray(freqs[present]), max_length)
     lengths[present] = depths.astype(np.uint8)

@@ -207,3 +207,36 @@ class TestErrorWeights:
         t = MultilevelTransform((16, 16))
         with pytest.raises(ValueError):
             t.recompose_absolute(np.full((16, 16), -1.0))
+
+    def test_recompose_absolute_rejects_nan(self):
+        t = MultilevelTransform((16, 16))
+        coeffs = np.zeros((16, 16))
+        coeffs[3, 5] = np.nan
+        with pytest.raises(ValueError, match="non-NaN"):
+            t.recompose_absolute(coeffs)
+
+    def test_recompose_absolute_accepts_inf(self):
+        t = MultilevelTransform((16, 16))
+        coeffs = np.zeros((16, 16))
+        coeffs[0, 0] = np.inf
+        assert np.isinf(np.max(t.recompose_absolute(coeffs)))
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.5])
+    @pytest.mark.parametrize(
+        "bound", [compose_error_bound, pointwise_error_bound]
+    )
+    def test_error_bounds_reject_nan_and_negative(self, bound, bad):
+        t = MultilevelTransform((16, 16))
+        errors = [0.0] * t.num_coefficient_sets
+        errors[0] = bad
+        with pytest.raises(ValueError, match="nonnegative"):
+            bound(t, errors)
+
+    @pytest.mark.parametrize(
+        "bound", [compose_error_bound, pointwise_error_bound]
+    )
+    def test_error_bounds_keep_inf(self, bound):
+        t = MultilevelTransform((16, 16))
+        errors = [0.0] * t.num_coefficient_sets
+        errors[-1] = np.inf
+        assert np.isinf(np.max(bound(t, errors)))
